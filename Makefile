@@ -49,11 +49,11 @@ check: lint analyze audit prove typecheck test
 test-robustness:
 	pytest tests/robustness/
 
-# Tier-1 engine + serving tests with the runtime sanitizer armed: every
-# E-step verifies disjoint writes, simplex invariants and fixed-order
-# reduction while the suite runs.
+# Tier-1 engine, baseline and serving tests with the runtime sanitizer
+# armed: every E-step verifies disjoint writes, simplex invariants and
+# fixed-order reduction while the suite runs.
 test-sanitize:
-	TCAM_SANITIZE=1 pytest -q tests/core tests/recommend
+	TCAM_SANITIZE=1 pytest -q tests/core tests/baselines tests/recommend
 
 # Streaming fault-injection suite (WAL torn writes, kill/resume, swap
 # gate) with the runtime sanitizer armed — the crash-safety gate CI runs.

@@ -2,13 +2,12 @@
 
 Measures full EM-iteration throughput (ratings processed per second,
 E-step plus the cheap M-step normalisation) for TTCAM at several
-``(R, K1, K2)`` scales, across three execution paths:
+``(R, K1, K2)`` scales, across two engine configurations:
 
-* ``legacy``      — the single-pass vectorised step (``engine=None``);
 * ``blocked-t1``  — the blocked engine, one worker;
 * ``blocked-tN``  — the blocked engine on N threads.
 
-In ``--smoke`` mode a fourth variant, ``blocked-t1-sanitize``, runs the
+In ``--smoke`` mode a third variant, ``blocked-t1-sanitize``, runs the
 blocked engine under the runtime sanitizer and the harness asserts the
 sanitize-off variants constructed no ``Sanitizer`` at all — the
 structural "zero overhead when off" guarantee from
@@ -81,7 +80,6 @@ def main(argv=None) -> int:
     for requested, k1, k2 in scales:
         cuboid = synthetic_cuboid(requested, seed=13)
         variants = {
-            "legacy": None,
             "blocked-t1": EMEngineConfig(block_size=args.block_size),
             f"blocked-t{threads}": EMEngineConfig(
                 block_size=args.block_size, threads=threads
@@ -95,7 +93,7 @@ def main(argv=None) -> int:
         constructed_before = Sanitizer.constructed
         for variant, engine in variants.items():
             rate = fit_throughput(cuboid, k1, k2, iters, engine, args.repeats)
-            if variant == "blocked-t1" and not sanitize_enabled():
+            if not engine.sanitize and not sanitize_enabled():
                 # zero-overhead-off proof: the sanitize-off runs so far
                 # must not have instantiated a single Sanitizer.
                 assert Sanitizer.constructed == constructed_before, (
@@ -113,20 +111,15 @@ def main(argv=None) -> int:
                         "k1": k1,
                         "k2": k2,
                         "block_size": args.block_size,
-                        "threads": 1 if engine is None else engine.threads,
+                        "threads": engine.threads,
                         "variant": variant,
                     },
                     context=context,
                 )
             )
             print(f"{name:55s} {rate/1e6:8.3f} M ratings/sec")
-        blocked_gain = rates["blocked-t1"] / rates["legacy"]
         threaded_gain = rates[f"blocked-t{threads}"] / rates["blocked-t1"]
-        print(
-            f"  -> blocked/legacy {blocked_gain:.2f}x, "
-            f"threaded({threads})/blocked {threaded_gain:.2f}x "
-            f"[{os.cpu_count()} cpu]"
-        )
+        print(f"  -> threaded({threads})/blocked {threaded_gain:.2f}x [{os.cpu_count()} cpu]")
         if "blocked-t1-sanitize" in rates:
             overhead = rates["blocked-t1"] / rates["blocked-t1-sanitize"]
             print(f"  -> sanitizer overhead when ON: {overhead:.2f}x slower")

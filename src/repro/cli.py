@@ -37,6 +37,7 @@ import numpy as np
 
 from .baselines import TimeTopicModel, UserTopicModel
 from .core import ITCAM, TTCAM, EMEngineConfig, LoadedModel, save_params
+from .core.engine import DEFAULT_BLOCK_SIZE, DEFAULT_ENGINE
 from .data import generate, holdout_split, load_cuboid_csv, profile, save_cuboid_csv
 from .data.profiles import PROFILES
 from .evaluation import build_queries, evaluate_ranking
@@ -51,7 +52,7 @@ def _build_model(
     k2: int,
     iters: int,
     seed: int,
-    engine: EMEngineConfig | None = None,
+    engine: EMEngineConfig = DEFAULT_ENGINE,
 ) -> TTCAM | ITCAM | UserTopicModel | TimeTopicModel:
     """Instantiate a model by CLI name."""
     if name == "ttcam":
@@ -69,14 +70,22 @@ def _build_model(
     raise ValueError(f"unknown model {name!r}")
 
 
-def _engine_config(args: argparse.Namespace) -> EMEngineConfig | None:
-    """Build the blocked-engine config from ``--block-size``/``--threads``/``--sanitize``."""
-    block_size = getattr(args, "block_size", None)
-    threads = getattr(args, "threads", 1)
-    sanitize = bool(getattr(args, "sanitize", False))
-    if block_size is None and threads == 1 and not sanitize:
-        return None
-    return EMEngineConfig(block_size=block_size, threads=threads, sanitize=sanitize)
+def _engine_config(args: argparse.Namespace) -> EMEngineConfig:
+    """Build the EM engine config from ``--block-size``/``--threads``/``--sanitize``."""
+    return EMEngineConfig(
+        block_size=args.block_size, threads=args.threads, sanitize=args.sanitize
+    )
+
+
+def _positive_int(text: str) -> int:
+    """argparse ``type`` accepting integers >= 1 (a usage error otherwise)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -531,15 +540,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fit.add_argument(
         "--block-size",
-        type=int,
+        type=_positive_int,
         default=None,
-        help="run EM through the blocked engine with this many ratings per block",
+        help="ratings per block of the EM engine's E-step "
+        f"(default {DEFAULT_BLOCK_SIZE}, capped at the dataset size)",
     )
     p_fit.add_argument(
         "--threads",
-        type=int,
+        type=_positive_int,
         default=1,
-        help="E-step worker threads for the blocked engine (implies it when > 1)",
+        help="E-step worker threads of the EM engine",
     )
     p_fit.add_argument(
         "--sanitize",

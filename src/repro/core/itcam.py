@@ -19,7 +19,6 @@ from ..data.cuboid import RatingCuboid
 from ..robustness.checkpoint import Checkpoint, CheckpointManager
 from ..robustness.health import HealthMonitor, rejitter_arrays
 from ..typing import ArrayState, FloatArray
-from .engine import BlockedEStep, EMEngineConfig, ITCAMKernel
 from .em import (
     EPS,
     EMTrace,
@@ -28,9 +27,9 @@ from .em import (
     random_stochastic,
     restore_state,
     run_em,
-    scatter_sum,
     scatter_sum_1d,
 )
+from .engine import DEFAULT_ENGINE, BlockedEStep, EMEngineConfig, ITCAMKernel
 from .params import ITCAMParameters
 from .weighting import apply_item_weighting
 
@@ -61,10 +60,9 @@ class ITCAM:
     seed:
         Seed for the random EM initialisation.
     engine:
-        Optional :class:`~repro.core.engine.EMEngineConfig` running the
-        E-step through the blocked, buffer-reusing (and optionally
-        threaded) execution engine; ``None`` keeps the legacy
-        single-pass path (they agree to ``allclose(atol=1e-12)``).
+        :class:`~repro.core.engine.EMEngineConfig` of the blocked,
+        buffer-reusing (and optionally threaded) engine that runs every
+        E-step, as in :class:`~repro.core.ttcam.TTCAM`.
 
     Attributes (after :meth:`fit`)
     ------------------------------
@@ -83,7 +81,7 @@ class ITCAM:
         weighted: bool = False,
         n_init: int = 1,
         seed: int = 0,
-        engine: EMEngineConfig | None = None,
+        engine: EMEngineConfig = DEFAULT_ENGINE,
     ) -> None:
         if num_user_topics <= 0:
             raise ValueError(f"num_user_topics must be positive, got {num_user_topics}")
@@ -202,18 +200,10 @@ class ITCAM:
 
         user_mass = scatter_sum_1d(u, c, n)  # Σ_t Σ_v C[u,t,v], fixed
         safe_user_mass = np.where(user_mass <= 0, 1.0, user_mass)
-        estep = (
-            BlockedEStep(
-                ITCAMKernel(u, t, v, c, cuboid.shape, k1, dtype=self.engine.dtype),
-                self.engine,
-            )
-            if self.engine is not None
-            else None
-        )
+        estep = BlockedEStep(ITCAMKernel(u, t, v, c, cuboid.shape, k1), self.engine)
 
-        def engine_step(current: ArrayState) -> tuple[ArrayState, float]:
-            """One EM iteration through the blocked execution engine."""
-            assert estep is not None  # selected only when the engine exists
+        def step(current: ArrayState) -> tuple[ArrayState, float]:
+            """One EM iteration: blocked E-step, then the M-step."""
             stats, log_likelihood = estep.compute(current)
             updated = {
                 "theta": normalize_rows(stats["theta_num"], self.smoothing),  # Eq. 8
@@ -227,41 +217,9 @@ class ITCAM:
             }
             return updated, log_likelihood
 
-        def step(current: ArrayState) -> tuple[ArrayState, float]:
-            """One full EM iteration (E-step likelihood, then M-step update)."""
-            theta, phi = current["theta"], current["phi"]
-            theta_time, lam = current["theta_time"], current["lambda_u"]
-            # ---- E-step --------------------------------------------------
-            # joint[r, z] = θ[u_r, z] · φ[z, v_r]  (numerator of Eq. 5)
-            joint = theta[u] * phi[:, v].T  # (R, K1)
-            p_interest = joint.sum(axis=1)  # P(v|θ_u), Eq. 2
-            p_context = theta_time[t, v]  # P(v|θ′_t)
-            lam_r = lam[u]
-            weighted_interest = lam_r * p_interest
-            weighted_context = (1 - lam_r) * p_context
-            denom = weighted_interest + weighted_context + EPS
-            ps1 = weighted_interest / denom  # P(s=1|u,t,v), Eq. 4
-            # resp[r, z] = P(z|u,t,v) = P(z|s=1,·)·P(s=1|·), Eq. 6
-            resp = joint * (ps1 / (p_interest + EPS))[:, None]
-            log_likelihood = float(np.dot(c, np.log(denom)))
-            # ---- M-step --------------------------------------------------
-            c_resp = c[:, None] * resp
-            c_ps0 = c * (1 - ps1)
-            flat = np.bincount(t * v_dim + v, weights=c_ps0, minlength=t_dim * v_dim)
-            time_counts = flat.reshape(t_dim, v_dim)
-            updated = {
-                "theta": normalize_rows(scatter_sum(u, c_resp, n), self.smoothing),  # Eq. 8
-                "phi": normalize_rows(scatter_sum(v, c_resp, v_dim).T, self.smoothing),  # Eq. 9
-                "theta_time": normalize_rows(time_counts, self.smoothing),  # Eq. 10
-                "lambda_u": np.clip(
-                    scatter_sum_1d(u, c * ps1, n) / safe_user_mass, 0.0, 1.0
-                ),  # Eq. 11
-            }
-            return updated, log_likelihood
-
         state, trace = run_em(
             state,
-            engine_step if estep is not None else step,
+            step,
             max_iter=self.max_iter,
             tol=self.tol,
             trace=trace,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -38,19 +38,17 @@ from ..robustness.faults import fault_point
 from ..robustness.health import HealthMonitor, rejitter_arrays
 from ..robustness.retry import run_with_retry
 from ..typing import ArrayState, FloatArray, IntArray
-from .engine import BlockedEStep, EMEngineConfig, TTCAMKernel
 from .em import (
-    EPS,
     EMTrace,
-    normalize_rows,
     prepare_fit_controls,
     random_stochastic,
     restore_state,
     run_em,
-    scatter_sum,
     scatter_sum_1d,
 )
+from .engine import DEFAULT_ENGINE, BlockedEStep, EMEngineConfig, TTCAMKernel
 from .params import TTCAMParameters
+from .ttcam import ttcam_m_step
 from .weighting import apply_item_weighting
 
 _STATE_KEYS = ("theta", "phi", "theta_time", "phi_time", "lambda_u")
@@ -58,27 +56,6 @@ _STOCHASTIC = ("theta", "phi", "theta_time", "phi_time")
 
 #: One contiguous slice of cuboid entries: (users, intervals, items, scores).
 Shard = tuple[IntArray, IntArray, IntArray, FloatArray]
-
-
-@dataclass
-class _ShardStats:
-    """Partial sufficient statistics produced by one shard's E-step."""
-
-    theta_num: FloatArray  # (N, K1)
-    phi_num: FloatArray  # (K1, V) — stored transposed as (V, K1) internally
-    theta_time_num: FloatArray  # (T, K2)
-    phi_time_num: FloatArray  # (V, K2)
-    lam_num: FloatArray  # (N,)
-    log_likelihood: float
-
-    def __iadd__(self, other: "_ShardStats") -> "_ShardStats":
-        self.theta_num += other.theta_num
-        self.phi_num += other.phi_num
-        self.theta_time_num += other.theta_time_num
-        self.phi_time_num += other.phi_time_num
-        self.lam_num += other.lam_num
-        self.log_likelihood += other.log_likelihood
-        return self
 
 
 class PartitionedTTCAM:
@@ -102,13 +79,12 @@ class PartitionedTTCAM:
         disables the timeout. (Sequential mode cannot preempt a running
         shard, so the timeout applies only with ``workers > 1``.)
     engine:
-        Optional :class:`~repro.core.engine.EMEngineConfig`. Each shard's
-        mapper then runs its E-step through the blocked engine
-        (``block_size``/``dtype`` apply within the shard), and
-        ``engine.threads`` provides the default shard-map worker count
-        when ``workers`` is left at 1. Mapper engines are constructed
-        per call, keeping the mapper a pure function so shard
-        retry/re-execution stays bit-deterministic.
+        :class:`~repro.core.engine.EMEngineConfig` of the blocked engine
+        that runs each shard's E-step (``block_size`` and ``sanitize``
+        apply within the shard); ``engine.threads`` provides the default
+        shard-map worker count when ``workers`` is left at 1. Mapper
+        engines are constructed per call, keeping the mapper a pure
+        function so shard retry/re-execution stays bit-deterministic.
     """
 
     def __init__(
@@ -125,7 +101,7 @@ class PartitionedTTCAM:
         max_shard_retries: int = 2,
         retry_backoff: float = 0.05,
         shard_timeout: float | None = None,
-        engine: EMEngineConfig | None = None,
+        engine: EMEngineConfig = DEFAULT_ENGINE,
     ) -> None:
         if num_partitions <= 0:
             raise ValueError(f"num_partitions must be positive, got {num_partitions}")
@@ -143,7 +119,7 @@ class PartitionedTTCAM:
         self.weighted = weighted
         self.seed = seed
         self.num_partitions = num_partitions
-        self.workers = workers if workers != 1 or engine is None else engine.threads
+        self.workers = workers if workers != 1 else engine.threads
         self.engine = engine
         self.max_shard_retries = max_shard_retries
         self.retry_backoff = retry_backoff
@@ -157,70 +133,17 @@ class PartitionedTTCAM:
         return "W-TTCAM(partitioned)" if self.weighted else "TTCAM(partitioned)"
 
     def _map_shard(
-        self,
-        shard: Shard,
-        theta: FloatArray,
-        phi: FloatArray,
-        theta_time: FloatArray,
-        phi_time: FloatArray,
-        lam: FloatArray,
-        shape: tuple[int, int, int],
-    ) -> _ShardStats:
-        """E-step + partial sufficient statistics for one shard (the mapper)."""
-        u, t, v, c = shard
-        n, t_dim, v_dim = shape
-        if self.engine is not None:
-            # Blocked mapper: a throwaway engine per call keeps the mapper
-            # pure (safe to re-execute concurrently with a straggling
-            # first attempt) while still reusing buffers across the
-            # shard's blocks. Threads apply at the shard-map level.
-            shard_config = EMEngineConfig(
-                block_size=self.engine.block_size,
-                threads=1,
-                dtype=self.engine.dtype,
-                sanitize=self.engine.sanitize,
-            )
-            kernel = TTCAMKernel(
-                u, t, v, c, shape,
-                self.num_user_topics, self.num_time_topics,
-                dtype=self.engine.dtype,
-            )
-            stats, log_likelihood = BlockedEStep(kernel, shard_config).compute(
-                {
-                    "theta": theta,
-                    "phi": phi,
-                    "theta_time": theta_time,
-                    "phi_time": phi_time,
-                    "lambda_u": lam,
-                }
-            )
-            return _ShardStats(
-                theta_num=stats["theta_num"],
-                phi_num=stats["phi_num"],
-                theta_time_num=stats["theta_time_num"],
-                phi_time_num=stats["phi_time_num"],
-                lam_num=stats["lam_num"],
-                log_likelihood=log_likelihood,
-            )
-        joint_z = theta[u] * phi[:, v].T
-        p_interest = joint_z.sum(axis=1)
-        joint_x = theta_time[t] * phi_time[:, v].T
-        p_context = joint_x.sum(axis=1)
-        lam_r = lam[u]
-        denom = lam_r * p_interest + (1 - lam_r) * p_context + EPS
-        ps1 = lam_r * p_interest / denom
-        resp_z = joint_z * (ps1 / (p_interest + EPS))[:, None]
-        resp_x = joint_x * ((1 - ps1) / (p_context + EPS))[:, None]
-        c_resp_z = c[:, None] * resp_z
-        c_resp_x = c[:, None] * resp_x
-        return _ShardStats(
-            theta_num=scatter_sum(u, c_resp_z, n),
-            phi_num=scatter_sum(v, c_resp_z, v_dim),
-            theta_time_num=scatter_sum(t, c_resp_x, t_dim),
-            phi_time_num=scatter_sum(v, c_resp_x, v_dim),
-            lam_num=scatter_sum_1d(u, c * ps1, n),
-            log_likelihood=float(np.dot(c, np.log(denom))),
-        )
+        self, shard: Shard, state: ArrayState, shape: tuple[int, int, int]
+    ) -> tuple[ArrayState, float]:
+        """E-step + partial sufficient statistics for one shard (the mapper).
+
+        A throwaway single-threaded engine per call keeps the mapper pure
+        (safe to re-execute concurrently with a straggling first attempt)
+        while still reusing buffers across the shard's blocks; threads
+        apply at the shard-map level.
+        """
+        kernel = TTCAMKernel(*shard, shape, self.num_user_topics, self.num_time_topics)
+        return BlockedEStep(kernel, replace(self.engine, threads=1)).compute(state)
 
     def fit(
         self,
@@ -264,30 +187,17 @@ class PartitionedTTCAM:
         shards = self._partition(cuboid)
         user_mass = scatter_sum_1d(cuboid.users, cuboid.scores, n)
         safe_user_mass = np.where(user_mass <= 0, 1.0, user_mass)
-        shape = cuboid.shape
 
         def step(current: ArrayState) -> tuple[ArrayState, float]:
             """One partitioned EM iteration: map shards, reduce, normalise."""
-            partials = self._run_map(
-                shards,
-                current["theta"],
-                current["phi"],
-                current["theta_time"],
-                current["phi_time"],
-                current["lambda_u"],
-                shape,
-            )
-            total = partials[0]
-            for partial in partials[1:]:
-                total += partial
-            updated = {
-                "theta": normalize_rows(total.theta_num, self.smoothing),
-                "phi": normalize_rows(total.phi_num.T, self.smoothing),
-                "theta_time": normalize_rows(total.theta_time_num, self.smoothing),
-                "phi_time": normalize_rows(total.phi_time_num.T, self.smoothing),
-                "lambda_u": np.clip(total.lam_num / safe_user_mass, 0.0, 1.0),
-            }
-            return updated, total.log_likelihood
+            partials = self._run_map(shards, current, cuboid.shape)
+            total, log_likelihood = partials[0]
+            for stats, partial_ll in partials[1:]:
+                for name, array in total.items():
+                    array += stats[name]
+                log_likelihood += partial_ll
+            lam = total["lam_num"] / safe_user_mass  # Eq. 11
+            return ttcam_m_step(total, lam, self.smoothing), log_likelihood
 
         state, trace = run_em(
             state,
@@ -352,15 +262,8 @@ class PartitionedTTCAM:
         return shards
 
     def _run_map(
-        self,
-        shards: list[Shard],
-        theta: FloatArray,
-        phi: FloatArray,
-        theta_time: FloatArray,
-        phi_time: FloatArray,
-        lam: FloatArray,
-        shape: tuple[int, int, int],
-    ) -> list[_ShardStats]:
+        self, shards: list[Shard], state: ArrayState, shape: tuple[int, int, int]
+    ) -> list[tuple[ArrayState, float]]:
         """Run the mapper over all shards with per-shard retry.
 
         The mapper is a pure function of the broadcast parameters, so a
@@ -369,11 +272,13 @@ class PartitionedTTCAM:
         unaffected by which attempt finally succeeded.
         """
 
-        def attempt_shard(index: int, shard: Shard, attempt: int) -> _ShardStats:
+        def attempt_shard(
+            index: int, shard: Shard, attempt: int
+        ) -> tuple[ArrayState, float]:
             fault_point("parallel.shard", shard=index, attempt=attempt)
-            return self._map_shard(shard, theta, phi, theta_time, phi_time, lam, shape)
+            return self._map_shard(shard, state, shape)
 
-        def guarded(index: int, shard: Shard) -> _ShardStats:
+        def guarded(index: int, shard: Shard) -> tuple[ArrayState, float]:
             return run_with_retry(
                 lambda attempt: attempt_shard(index, shard, attempt),
                 retries=self.max_shard_retries,
@@ -388,7 +293,7 @@ class PartitionedTTCAM:
             futures = [
                 pool.submit(attempt_shard, i, s, 0) for i, s in enumerate(shards)
             ]
-            results: list[_ShardStats | None] = [None] * len(shards)
+            results: list[tuple[ArrayState, float] | None] = [None] * len(shards)
             stragglers: list[int] = []
             for index, future in enumerate(futures):
                 try:
@@ -400,8 +305,8 @@ class PartitionedTTCAM:
                 # Attempt 0 already failed; replay it against the retry
                 # budget so fault plans keyed on attempt numbers line up.
                 results[index] = guarded(index, shards[index])
-            assert all(stats is not None for stats in results)
-            return [stats for stats in results if stats is not None]
+            assert all(result is not None for result in results)
+            return [result for result in results if result is not None]
 
     def score_items(self, user: int, interval: int) -> FloatArray:
         """Ranking scores for every item, as in the serial model."""

@@ -21,7 +21,6 @@ from ..data.cuboid import RatingCuboid
 from ..robustness.checkpoint import Checkpoint, CheckpointManager
 from ..robustness.health import HealthMonitor, rejitter_arrays
 from ..typing import ArrayState, FloatArray
-from .engine import BlockedEStep, EMEngineConfig, TTCAMKernel
 from .em import (
     EPS,
     EMTrace,
@@ -30,14 +29,30 @@ from .em import (
     random_stochastic,
     restore_state,
     run_em,
-    scatter_sum,
     scatter_sum_1d,
 )
+from .engine import DEFAULT_ENGINE, BlockedEStep, EMEngineConfig, TTCAMKernel
 from .params import TTCAMParameters
 from .weighting import apply_item_weighting
 
 _STATE_KEYS = ("theta", "phi", "theta_time", "phi_time", "lambda_u")
 _STOCHASTIC = ("theta", "phi", "theta_time", "phi_time")
+
+
+def ttcam_m_step(stats: ArrayState, lam: FloatArray, smoothing: float) -> ArrayState:
+    """The TTCAM M-step: normalise E-step statistics into parameters.
+
+    ``stats`` holds the :class:`~repro.core.engine.TTCAMKernel`
+    numerators; ``lam`` is the new mixing weight (Eq. 11, per user or
+    one global value), clipped here to ``[0, 1]``.
+    """
+    return {
+        "theta": normalize_rows(stats["theta_num"], smoothing),  # Eq. 8
+        "phi": normalize_rows(stats["phi_num"].T, smoothing),  # Eq. 9
+        "theta_time": normalize_rows(stats["theta_time_num"], smoothing),  # Eq. 15
+        "phi_time": normalize_rows(stats["phi_time_num"].T, smoothing),  # Eq. 16
+        "lambda_u": np.clip(lam, 0.0, 1.0),
+    }
 
 
 class TTCAM:
@@ -62,11 +77,10 @@ class TTCAM:
         training log-likelihood wins. EM is fast enough that a few
         restarts are usually worth the variance reduction.
     engine:
-        Optional :class:`~repro.core.engine.EMEngineConfig` running the
-        E-step through the blocked, buffer-reusing (and optionally
-        threaded) execution engine. ``None`` keeps the legacy
-        single-pass vectorised path; the engine path agrees with it to
-        ``allclose(atol=1e-12)`` (see :mod:`repro.core.engine`).
+        :class:`~repro.core.engine.EMEngineConfig` of the blocked,
+        buffer-reusing (and optionally threaded) engine that runs every
+        E-step. Any two configs agree to ``allclose(atol=1e-12)``; one
+        config is bit-deterministic (see :mod:`repro.core.engine`).
 
     Attributes (after :meth:`fit`)
     ------------------------------
@@ -87,7 +101,7 @@ class TTCAM:
         personalized_lambda: bool = True,
         n_init: int = 1,
         seed: int = 0,
-        engine: EMEngineConfig | None = None,
+        engine: EMEngineConfig = DEFAULT_ENGINE,
     ) -> None:
         if num_user_topics <= 0:
             raise ValueError(f"num_user_topics must be positive, got {num_user_topics}")
@@ -216,71 +230,20 @@ class TTCAM:
         user_mass = scatter_sum_1d(u, c, n)
         safe_user_mass = np.where(user_mass <= 0, 1.0, user_mass)
         total_mass = float(c.sum())  # global-λ normaliser, fixed across iterations
-        estep = (
-            BlockedEStep(
-                TTCAMKernel(
-                    u, t, v, c, cuboid.shape, k1, k2, dtype=self.engine.dtype
-                ),
-                self.engine,
-            )
-            if self.engine is not None
-            else None
-        )
-
-        def engine_step(current: ArrayState) -> tuple[ArrayState, float]:
-            """One EM iteration through the blocked execution engine."""
-            assert estep is not None  # selected only when the engine exists
-            stats, log_likelihood = estep.compute(current)
-            if self.personalized_lambda:
-                new_lam = stats["lam_num"] / safe_user_mass  # Eq. 11
-            else:
-                new_lam = np.full(n, stats["lam_num"].sum() / total_mass)
-            updated = {
-                "theta": normalize_rows(stats["theta_num"], self.smoothing),  # Eq. 8
-                "phi": normalize_rows(stats["phi_num"].T, self.smoothing),  # Eq. 9
-                "theta_time": normalize_rows(stats["theta_time_num"], self.smoothing),  # Eq. 15
-                "phi_time": normalize_rows(stats["phi_time_num"].T, self.smoothing),  # Eq. 16
-                "lambda_u": np.clip(new_lam, 0.0, 1.0),
-            }
-            return updated, log_likelihood
+        estep = BlockedEStep(TTCAMKernel(u, t, v, c, cuboid.shape, k1, k2), self.engine)
 
         def step(current: ArrayState) -> tuple[ArrayState, float]:
-            """One full EM iteration (E-step likelihood, then M-step update)."""
-            theta, phi = current["theta"], current["phi"]
-            theta_time, phi_time = current["theta_time"], current["phi_time"]
-            lam = current["lambda_u"]
-            # ---- E-step --------------------------------------------------
-            joint_z = theta[u] * phi[:, v].T  # (R, K1), numerator of Eq. 5
-            p_interest = joint_z.sum(axis=1)  # Eq. 2
-            joint_x = theta_time[t] * phi_time[:, v].T  # (R, K2), num. of Eq. 13
-            p_context = joint_x.sum(axis=1)  # Eq. 12
-            lam_r = lam[u]
-            weighted_interest = lam_r * p_interest
-            weighted_context = (1 - lam_r) * p_context
-            denom = weighted_interest + weighted_context + EPS
-            ps1 = weighted_interest / denom  # Eq. 4
-            resp_z = joint_z * (ps1 / (p_interest + EPS))[:, None]  # Eq. 6
-            resp_x = joint_x * ((1 - ps1) / (p_context + EPS))[:, None]  # Eq. 14
-            log_likelihood = float(np.dot(c, np.log(denom)))
-            # ---- M-step --------------------------------------------------
-            c_resp_z = c[:, None] * resp_z
-            c_resp_x = c[:, None] * resp_x
+            """One EM iteration: blocked E-step, then the M-step."""
+            stats, log_likelihood = estep.compute(current)
             if self.personalized_lambda:
-                new_lam = scatter_sum_1d(u, c * ps1, n) / safe_user_mass  # Eq. 11
+                lam = stats["lam_num"] / safe_user_mass  # Eq. 11
             else:
-                new_lam = np.full(n, np.dot(c, ps1) / total_mass)  # single global λ
-            updated = {
-                "theta": normalize_rows(scatter_sum(u, c_resp_z, n), self.smoothing),  # Eq. 8
-                "phi": normalize_rows(scatter_sum(v, c_resp_z, v_dim).T, self.smoothing),  # Eq. 9
-                "theta_time": normalize_rows(scatter_sum(t, c_resp_x, t_dim), self.smoothing),  # Eq. 15
-                "phi_time": normalize_rows(scatter_sum(v, c_resp_x, v_dim).T, self.smoothing),  # Eq. 16
-                "lambda_u": np.clip(new_lam, 0.0, 1.0),
-            }
-            return updated, log_likelihood
+                lam = np.full(n, stats["lam_num"].sum() / total_mass)  # single global λ
+            return ttcam_m_step(stats, lam, self.smoothing), log_likelihood
 
         state, trace = run_em(
             state,
-            engine_step if estep is not None else step,
+            step,
             max_iter=self.max_iter,
             tol=self.tol,
             trace=trace,

@@ -106,6 +106,16 @@ class TestFit:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value", [("--threads", "0"), ("--block-size", "-5")])
+    def test_nonpositive_engine_flags_are_usage_errors(
+        self, dataset_csv, tmp_path, capsys, flag, value
+    ):
+        argv = ["fit", "--input", str(dataset_csv), "--output", str(tmp_path / "m.npz")]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, flag, value])
+        assert exit_info.value.code == 2
+        assert f"{flag}: must be a positive integer" in capsys.readouterr().err
+
 
 class TestRecommend:
     def test_top_k_printed(self, snapshot, capsys):
